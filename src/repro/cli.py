@@ -937,13 +937,12 @@ def _serve_status(args: argparse.Namespace) -> int:
     engine = st.get("engine", {})
     if engine:
         bl = engine.get("baseline_cache", {})
-        print(f"engine: {engine.get('name', '?')}, baseline cache "
-              f"{bl.get('entries', 0)} entries "
+        print(f"baseline cache: {bl.get('entries', 0)} entries "
               f"({bl.get('hits', 0)} hits, {bl.get('misses', 0)} misses, "
               f"{bl.get('evictions', 0)} evictions)")
         sc = engine.get("snapshot_cache", {})
         if sc:
-            print(f"        snapshot cache: {sc.get('hits', 0)} hits, "
+            print(f"snapshot cache: {sc.get('hits', 0)} hits, "
                   f"{sc.get('misses', 0)} misses, "
                   f"{sc.get('evictions', 0)} evictions, "
                   f"{sc.get('forks', 0)} forks")

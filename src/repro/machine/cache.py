@@ -128,13 +128,7 @@ class CacheHierarchy:
         solo memory-bound efficiency even with no co-residents."""
         core_ws = sum(p.working_set_bytes for p in core_coresidents)
         socket_ws = sum(p.working_set_bytes for p in socket_coresidents)
-        key = (profile, core_ws, socket_ws)
-        eff = self._eff_cache.get(key)
-        if eff is None:
-            extra_dram, extra_mid = self._contention_ws(profile, core_ws, socket_ws)
-            eff = 1.0 / profile.cost_per_op(extra_dram, extra_mid)
-            self._eff_cache[key] = eff
-        return eff
+        return self.efficiencies((profile,), core_ws, socket_ws)[0]
 
     def efficiency_solo(self, profile: WorkloadProfile) -> float:
         """:meth:`efficiency` for a profile that is alone at both sharing
@@ -146,24 +140,20 @@ class CacheHierarchy:
         key = (profile, ws, ws)
         eff = self._eff_cache.get(key)
         if eff is None:
-            extra_dram, extra_mid = self._contention_ws(profile, ws, ws)
-            eff = 1.0 / profile.cost_per_op(extra_dram, extra_mid)
-            self._eff_cache[key] = eff
+            eff = self.efficiencies((profile,), ws, ws)[0]
         return eff
 
     def efficiencies(
         self,
-        profiles: Sequence[WorkloadProfile],
-        core_coresidents: Iterable[WorkloadProfile],
-        socket_coresidents: Iterable[WorkloadProfile],
+        profiles: Iterable[WorkloadProfile],
+        core_ws: int,
+        socket_ws: int,
     ) -> list:
         """:meth:`efficiency` for every profile of one CPU's resident
-        set, sharing one context.  The working-set sums — identical for
-        every item on the CPU — are folded once instead of once per item
-        (same left-to-right ``sum`` order, so each returned float is the
-        exact value :meth:`efficiency` computes)."""
-        core_ws = sum(p.working_set_bytes for p in core_coresidents)
-        socket_ws = sum(p.working_set_bytes for p in socket_coresidents)
+        set, given the summed working sets of its core and socket
+        co-residents (the task itself included).  The node folds those
+        sums once per rate pass; working sets are integers, so the sums
+        are exact whatever order they are folded in."""
         cache = self._eff_cache
         out = []
         for profile in profiles:

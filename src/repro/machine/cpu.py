@@ -26,10 +26,11 @@ fluid model (DESIGN.md §5.1) is exact between transitions.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from functools import partial
+from typing import Dict, List, TYPE_CHECKING
 
 from repro.simx.engine import Engine
-from repro.simx.rate import WorkItem, make_rate_executor
+from repro.simx.rate import RateExecutor, WorkItem
 from repro.machine.profile import WorkloadProfile
 from repro.machine.topology import LogicalCpuState
 
@@ -39,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LogicalCpu"]
 
 
+def _ignore_completion(item: WorkItem) -> None:
+    """Completion callback of a CPU no scheduler drives (the scheduler
+    binds its own handler to the executor)."""
+
+
 class LogicalCpu:
     """Execution model of one logical CPU on a node."""
 
@@ -46,10 +52,11 @@ class LogicalCpu:
         self.node = node
         self.state = state
         self.engine: Engine = node.engine
-        self.executor = make_rate_executor(
-            self.engine, self._on_item_complete, self._busy_changed)
-        #: callback(work_item) invoked when a segment finishes (set by scheduler)
-        self.on_segment_done: Optional[Callable[[WorkItem], None]] = None
+        # Executor 0↔nonzero membership transitions keep the node's
+        # busy-CPU list current (the basis of every O(busy) rate pass).
+        self.executor = RateExecutor(
+            self.engine, _ignore_completion,
+            partial(node._cpu_busy_changed, self))
         #: persistent rate multiplier in (0, 1]; < 1 models a straggler
         #: CPU (thermal throttling, a sick core).  ``x * 1.0 == x``
         #: exactly in IEEE-754, so the default changes no computed rate.
@@ -79,27 +86,17 @@ class LogicalCpu:
 
     # -- placement ----------------------------------------------------------
     def add_segment(self, item: WorkItem) -> None:
-        """Place a compute segment here.  ``item.meta`` must expose a
-        ``profile`` attribute (the owning task).  Caller must follow with
-        :meth:`Node.apply_rates` (after a :meth:`Node.sync`)."""
+        """Place a compute segment here at rate 0.  ``item.meta`` must
+        expose a ``profile`` attribute (the owning task).  Caller must
+        follow with :meth:`Node.apply_rates` (after a :meth:`Node.sync`),
+        which installs the rates and reschedules."""
         if not self.state.online:
             raise RuntimeError(f"placing work on offline cpu{self.index}")
-        self.executor.add(item, rate=0.0)
+        self.executor.admit(item)
 
     def remove_segment(self, item: WorkItem) -> None:
         """Evict a segment (migration / cancellation)."""
         self.executor.remove(item)
-
-    def _on_item_complete(self, item: WorkItem) -> None:
-        # The executor already evicted the item; tell the scheduler so it
-        # can update run queues.  The owning task wakes via item.done.
-        if self.on_segment_done is not None:
-            self.on_segment_done(item)
-
-    def _busy_changed(self, busy: bool) -> None:
-        # Executor 0↔nonzero membership transition: keep the node's
-        # busy-CPU list current (the basis of every O(busy) rate pass).
-        self.node._cpu_busy_changed(self, busy)
 
     # -- fault injection ----------------------------------------------------
     def degrade(self, factor: float) -> None:
@@ -129,95 +126,68 @@ class LogicalCpu:
         combined_yield = sum(p.htt_yield for p in mix) / len(mix)
         return base * combined_yield / 2.0
 
-    def compute_rates(self, ctx=None) -> List[float]:
+    def compute_rates(self, cpu_ws: Dict[int, int],
+                      socket_ws: Dict[int, int]) -> List[float]:
         """New rate (work units per *nanosecond*) for every resident
         segment, positionally aligned with ``executor.items`` (feed the
-        result to :meth:`repro.simx.rate.RateExecutor.set_rates_seq`).
+        result to :meth:`repro.simx.rate.RateExecutor.install`).
 
-        ``ctx`` is an optional ``(per_cpu_profiles, per_socket_profiles)``
-        pair precomputed by :meth:`repro.machine.node.Node.apply_rates`;
-        without it the per-CPU scans below rebuild the same lists (same
-        element order, so the arithmetic is identical either way).
+        ``cpu_ws`` maps each busy CPU's index to the summed working set
+        of its segments and ``socket_ws`` each socket to the sum over its
+        online busy CPUs — folded once per pass by
+        :meth:`repro.machine.node.Node.apply_rates`.  The node is not
+        frozen (the pass installs zeros itself then).
         """
-        items = self.executor.items
-        if not items:
-            return []
-        if ctx is None:
-            gross = self.gross_hz()
-            if gross <= 0.0:
-                return [0.0] * len(items)
-            # Cache context: co-residents at core level (this cpu + sibling)
-            # and socket level (all cpus of the socket).
-            core_profiles = self._core_profiles()
-            socket_profiles = self._socket_profiles()
+        items = self.executor._items
+        state = self.state
+        if not state.online:
+            return [0.0] * len(items)
+        base = self.node.spec.base_hz * self.degradation
+        core_ws = cpu_ws[state.index]
+        sib_state = state.sibling
+        sib_ws = (cpu_ws.get(sib_state.index)
+                  if sib_state is not None and sib_state.online else None)
+        if sib_ws is not None:
+            # Both siblings busy: aggregate yield from the combined mix,
+            # folded left over this CPU's segments, then the sibling's.
+            sib_items = self.node.cpus[sib_state.index].executor._items
+            total = 0
+            for item in items:
+                total += item.meta.profile.htt_yield
+            for item in sib_items:
+                total += item.meta.profile.htt_yield
+            gross = base * (total / (len(items) + len(sib_items))) / 2.0
+            core_ws += sib_ws
         else:
-            # ctx maps busy-cpu index -> profile list; idle CPUs are absent
-            # (their contribution to every list below is empty anyway).
-            profs, socket_profs = ctx
-            if self.node._frozen or not self.state.online:
-                return [0.0] * len(items)
-            sib_state = self.state.sibling
-            sib_profiles = (
-                profs.get(sib_state.index)
-                if sib_state is not None and sib_state.online
-                else None
-            )
-            base = self.node.spec.base_hz * self.degradation
-            if sib_profiles:
-                # Both siblings busy: aggregate yield from the combined mix
-                # (same mix list as _core_profiles in this configuration).
-                core_profiles = profs[self.index] + sib_profiles
-                combined_yield = (
-                    sum(p.htt_yield for p in core_profiles) / len(core_profiles)
-                )
-                gross = base * combined_yield / 2.0
-            else:
-                core_profiles = list(profs[self.index])
-                gross = base
-            if gross <= 0.0:
-                return [0.0] * len(items)
-            socket_profiles = socket_profs.get(self.state.core.socket, [])
+            gross = base
         share_hz = gross / len(items)
-        hier = self.node.cache_hierarchy
-        effs = hier.efficiencies(
-            [item.meta.profile for item in items], core_profiles, socket_profiles)
+        effs = self.node.cache_hierarchy.efficiencies(
+            [item.meta.profile for item in items], core_ws,
+            socket_ws[state.core.socket])
         return [share_hz * eff / 1e9 for eff in effs]
 
     def compute_rates_solo(self) -> List[float]:
         """Rates when this is the only busy CPU on its node: the sibling
         is necessarily idle (gross = base) and this CPU's residents are
-        the entire core *and* socket profile context.  Must only be called
-        with a non-empty executor.  Positionally aligned with
-        ``executor.items``, like :meth:`compute_rates`."""
-        items = self.executor.items
-        if self.node._frozen or not self.state.online:
-            return [0.0] * len(items)
+        the entire core *and* socket context.  Must only be called with a
+        non-empty executor.  Positionally aligned with ``executor.items``,
+        like :meth:`compute_rates`."""
+        items = self.executor._items
         node = self.node
+        if node._frozen or not self.state.online:
+            return [0.0] * len(items)
         if len(items) == 1:
             # One segment on the node's one busy CPU — the hot state of
-            # every one-rank-per-node sweep.  sum(ws for [p]) == p.ws
-            # exactly, so the memo key (and the rate) is unchanged.
+            # every one-rank-per-node sweep.
             eff = node.cache_hierarchy.efficiency_solo(items[0].meta.profile)
             return [node.spec.base_hz * self.degradation * eff / 1e9]
         profiles = [item.meta.profile for item in items]
+        ws = 0
+        for p in profiles:
+            ws += p.working_set_bytes
         share_hz = node.spec.base_hz * self.degradation / len(items)
-        effs = node.cache_hierarchy.efficiencies(profiles, profiles, profiles)
+        effs = node.cache_hierarchy.efficiencies(profiles, ws, ws)
         return [share_hz * eff / 1e9 for eff in effs]
-
-    def _core_profiles(self) -> List[WorkloadProfile]:
-        out = list(self.profiles())
-        sib_state = self.state.sibling
-        if sib_state is not None and sib_state.online:
-            out += self.node.cpu(sib_state.index).profiles()
-        return out
-
-    def _socket_profiles(self) -> List[WorkloadProfile]:
-        out: List[WorkloadProfile] = []
-        my_socket = self.state.core.socket
-        for cpu in self.node.cpus:
-            if cpu.state.core.socket == my_socket and cpu.state.online:
-                out += cpu.profiles()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<LogicalCpu {self.node.name}:cpu{self.index} tasks={self.n_tasks}>"

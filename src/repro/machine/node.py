@@ -21,6 +21,7 @@ software is delayed.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.simx.engine import Engine
@@ -140,7 +141,7 @@ class Node:
             if self._batch_depth > 0:
                 ex = cpu.executor
                 if not ex._defer:
-                    ex._defer = True
+                    ex.defer_reschedule()
                     self._batch_flush.append(cpu)
         else:
             busy_list.remove(cpu)
@@ -148,11 +149,11 @@ class Node:
     def sync(self) -> None:
         """Integrate all executors and the accounting up to *now* at the
         currently-assigned rates.  Must be called *before* any mutation
-        that changes rates (placement, freeze, hotplug)."""
-        if self.scheduler is not None:
-            self.scheduler.accounting.advance()
-        # Empty executors have nothing to integrate, and add() syncs
-        # before admitting — their clocks cannot go stale.  Iterate a
+        that changes rates (placement, freeze, hotplug).  Task time
+        accounting rides along: the executors' ``pre_sync`` hooks
+        integrate it."""
+        # Empty executors have nothing to integrate, and admit() syncs
+        # first — their clocks cannot go stale.  Iterate a
         # snapshot: completions inside sync() shrink the busy list.
         busy = self._busy
         if not busy:
@@ -168,23 +169,25 @@ class Node:
         in a ``finally``; re-entrant — nested batches are absorbed into
         the outermost one).
 
-        Inside the batch every busy executor defers its
-        next-completion-timer rescheduling (CPUs that *become* busy
-        mid-batch join via :meth:`_cpu_busy_changed`); the outermost exit
-        flushes dirty executors in CPU index order.  Work integration
-        (sync) stays eager, so completions and their follow-up events are
-        unaffected; the flush order equals the order the legacy code
-        issued its *final* (surviving) timer pushes, so the event
-        sequence is byte-identical.  Plain calls rather than a
-        contextmanager: the generator protocol is measurable on this path
-        (one batch per placement/completion/freeze).
+        For paths that mutate membership several times in one instant
+        (rebalance, evacuation, misplacement, failure): inside the batch
+        every busy executor defers its next-completion-timer rescheduling
+        (CPUs that *become* busy mid-batch join via
+        :meth:`_cpu_busy_changed`); the outermost exit flushes dirty
+        executors in CPU index order.  Work integration (sync) stays
+        eager, so completions and their follow-up events are unaffected;
+        the flush order equals the order the final (surviving) timer
+        pushes would have had without the batch, so the event sequence
+        is byte-identical.  A single placement, completion or freeze
+        needs no batch: :meth:`apply_rates` already reschedules each busy
+        executor once, in that same order.
         """
         depth = self._batch_depth
         self._batch_depth = depth + 1
         if depth == 0:
             flush = self._busy[:]
             for cpu in flush:
-                cpu.executor._defer = True
+                cpu.executor.defer_reschedule()
             self._batch_flush = flush
 
     def end_rate_batch(self) -> None:
@@ -199,15 +202,11 @@ class Node:
                 # order to match the all-CPUs scan this replaces.
                 flush.sort(key=_cpu_index)
             for cpu in flush:
-                ex = cpu.executor
-                ex._defer = False
-                if ex._dirty:
-                    ex._dirty = False
-                    ex._reschedule()
+                cpu.executor.flush_reschedule()
 
     @contextmanager
     def rate_batch(self):
-        """Contextmanager sugar over begin/end_rate_batch (cold paths)."""
+        """Contextmanager over begin/end_rate_batch."""
         self.begin_rate_batch()
         try:
             yield
@@ -215,12 +214,14 @@ class Node:
             self.end_rate_batch()
 
     def apply_rates(self) -> None:
-        """Recompute and install the rate assignment for every CPU.
+        """Recompute and install the rate assignment for every busy CPU,
+        in CPU index order — one rescheduling pass per executor.
 
-        The per-CPU profile lists and per-socket concatenations are built
-        once per pass (list order follows CPU index order, matching the
-        per-CPU scans they replace, so float summation order — and hence
-        every computed rate — is bit-identical).
+        The working-set sums of every busy CPU and socket are folded once
+        per pass (integers: exact in any order); the float ``htt_yield``
+        mix keeps its left fold inside :meth:`LogicalCpu.compute_rates`.
+        Idle CPUs contribute nothing to any sum, so folding over the busy
+        CPUs matches a scan of every online CPU.
         """
         busy = self._busy
         if not busy:
@@ -228,48 +229,39 @@ class Node:
         if len(busy) == 1:
             # Only one CPU busy (the common state for one-rank-per-node
             # sweeps): its sibling is idle and it alone populates its
-            # socket's profile list — skip the context build entirely.
+            # socket — no context to fold.
             cpu = busy[0]
-            cpu.executor.set_rates_seq(cpu.compute_rates_solo())
+            cpu.executor.install(cpu.compute_rates_solo())
             return
-        busy = busy[:]  # the per-CPU installs below must see one snapshot
-        profs: Dict[int, List] = {}
+        if self._frozen:
+            for cpu in busy:
+                cpu.executor.install([0.0] * len(cpu.executor._items))
+            return
+        cpu_ws: Dict[int, int] = {}
+        socket_ws: Dict[int, int] = {}
         for cpu in busy:
-            profs[cpu.index] = [item.meta.profile for item in cpu.executor.items]
-        # Idle CPUs contribute nothing to a socket's profile list, so
-        # accumulating over busy CPUs (still in index order) matches the
-        # all-online-CPUs scan this replaces element for element.
-        socket_profs: Dict[object, List] = {}
+            ws = 0
+            for item in cpu.executor._items:
+                ws += item.meta.profile.working_set_bytes
+            state = cpu.state
+            cpu_ws[state.index] = ws
+            if state.online:
+                sock = state.core.socket
+                socket_ws[sock] = socket_ws.get(sock, 0) + ws
         for cpu in busy:
-            if cpu.state.online:
-                sock = cpu.state.core.socket
-                acc = socket_profs.get(sock)
-                if acc is None:
-                    socket_profs[sock] = acc = []
-                acc += profs[cpu.index]
-        ctx = (profs, socket_profs)
-        for cpu in busy:
-            cpu.executor.set_rates_seq(cpu.compute_rates(ctx))
+            cpu.executor.install(cpu.compute_rates(cpu_ws, socket_ws))
 
     def recompute(self) -> None:
         """sync + apply_rates — the one call sites use after any change."""
-        self.begin_rate_batch()
-        try:
-            self.sync()
-            self.apply_rates()
-        finally:
-            self.end_rate_batch()
+        self.sync()
+        self.apply_rates()
 
     # -- SMM freeze protocol ----------------------------------------------------
     def freeze(self) -> None:
         """Called by the SMM controller at SMI entry."""
-        self.begin_rate_batch()
-        try:
-            self.sync()
-            self._frozen = True
-            self.apply_rates()
-        finally:
-            self.end_rate_batch()
+        self.sync()
+        self._frozen = True
+        self.apply_rates()
 
     def unfreeze(self) -> None:
         """Called by the SMM controller at SMM exit: resume execution,
@@ -277,13 +269,9 @@ class Node:
         re-balance, detectors)."""
         if self._hung or self._failed:
             return  # a dead node never thaws — not even at SMM exit
-        self.begin_rate_batch()
-        try:
-            self.sync()
-            self._frozen = False
-            self.apply_rates()
-        finally:
-            self.end_rate_batch()
+        self.sync()
+        self._frozen = False
+        self.apply_rates()
         deferred, self._deferred = self._deferred, []
         if self._m_flush is not None:
             self._m_flush.observe(len(deferred))
@@ -346,20 +334,20 @@ class Node:
                     proc.abort(NodeFailedError(exc_reason))
 
     # -- the wake-up gate (simx Process gate protocol) ------------------------
-    def deliver(self, fn: Callable[[], None]) -> None:
-        """Deliver a wake-up to host software: immediate (scheduled at +0)
-        when running, deferred to SMM exit when frozen.  A failed node
-        drops wake-ups entirely (dead silicon wakes nothing); a hung node
-        defers them forever (the queue that would flush at an SMM exit
-        that never comes)."""
+    def deliver(self, fn: Callable[..., None], *args) -> None:
+        """Deliver a wake-up ``fn(*args)`` to host software: immediate
+        (scheduled at +0) when running, deferred to SMM exit when frozen.
+        A failed node drops wake-ups entirely (dead silicon wakes
+        nothing); a hung node defers them forever (the queue that would
+        flush at an SMM exit that never comes)."""
         if self._frozen:
             if self._failed:
                 return
-            self._deferred.append(fn)
+            self._deferred.append(partial(fn, *args) if args else fn)
             if self._m_deferred is not None:
                 self._m_deferred.value += 1
         else:
-            self.engine._post(0, fn, (), False)
+            self.engine._post(0, fn, args, False)
 
     # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
     def __snapshot__(self) -> dict:

@@ -24,7 +24,7 @@ CacheUnfriendly (~70 % misses) — see :mod:`repro.apps.convolve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = [
     "WorkloadProfile",
@@ -85,6 +85,23 @@ class WorkloadProfile:
             raise ValueError("penalties must be >= 0")
         if not (0.0 <= self.cache_sensitivity <= 1.0):
             raise ValueError(f"cache_sensitivity out of range: {self.cache_sensitivity}")
+
+    def __hash__(self) -> int:
+        # The field-tuple hash the dataclass would generate, computed once
+        # per instance: profiles key the cache model's efficiency memo on
+        # every rate pass.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process: never ship a cached hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def with_(self, **kw) -> "WorkloadProfile":
         """Return a modified copy (convenience over dataclasses.replace)."""

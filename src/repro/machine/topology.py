@@ -66,21 +66,16 @@ class LogicalCpuState:
     without an engine.
     """
 
-    __slots__ = ("index", "core", "thread_slot", "online")
+    __slots__ = ("index", "core", "thread_slot", "online", "sibling")
 
     def __init__(self, index: int, core: "PhysicalCore", thread_slot: int):
         self.index = index
         self.core = core
         self.thread_slot = thread_slot  # 0 = primary, 1 = HTT sibling
         self.online = True
-
-    @property
-    def sibling(self) -> Optional["LogicalCpuState"]:
-        """The other logical CPU on the same physical core (None if SMT=1)."""
-        for s in self.core.threads:
-            if s is not self:
-                return s
-        return None
+        #: The other logical CPU on the same physical core (None if
+        #: SMT=1); wired by :class:`Topology` once every core is built.
+        self.sibling: Optional["LogicalCpuState"] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<cpu{self.index} core{self.core.index} slot{self.thread_slot} {'on' if self.online else 'off'}>"
@@ -124,6 +119,11 @@ class Topology:
                 cpu = LogicalCpuState(len(self.cpus), self.cores[c], slot)
                 self.cores[c].threads.append(cpu)
                 self.cpus.append(cpu)
+        for cpu in self.cpus:
+            for s in cpu.core.threads:
+                if s is not cpu:
+                    cpu.sibling = s
+                    break
         self._listeners = []
 
     # -- hotplug ---------------------------------------------------------

@@ -96,7 +96,7 @@ class Scheduler:
         node.scheduler = self
         node.add_unfreeze_listener(self._on_smm_exit)
         for cpu in node.cpus:
-            cpu.on_segment_done = self._segment_complete
+            cpu.executor.on_complete = self._segment_complete
             cpu.executor.pre_sync = self._make_account_hook(cpu)
         if enable_balancer:
             # Daemon: perpetual kernel work must not keep the engine alive.
@@ -154,15 +154,11 @@ class Scheduler:
                 f"no online CPU satisfies affinity {task.affinity} on {self.node.name}"
             )
         node = self.node
-        node.begin_rate_batch()
-        try:
-            node.sync()
-            cpu.add_segment(item)
-            task.cpu = cpu
-            task.state = TaskState.RUNNING
-            node.apply_rates()
-        finally:
-            node.end_rate_batch()
+        node.sync()
+        cpu.add_segment(item)
+        task.cpu = cpu
+        task.state = TaskState.RUNNING
+        node.apply_rates()
         if self._m_placed is not None:
             self._m_placed.value += 1
             self._m_runnable.inc()
@@ -213,6 +209,8 @@ class Scheduler:
         return best
 
     def _segment_complete(self, item: WorkItem) -> None:
+        # The executor already evicted the item; update the run queues.
+        # The owning task wakes via item.done.
         task: Task = item.meta
         if self._m_runnable is not None:
             self._m_runnable.dec()
@@ -238,15 +236,22 @@ class Scheduler:
     # -- accounting hook -----------------------------------------------------
     def _make_account_hook(self, cpu: "LogicalCpu"):
         node = self.node
+        items = cpu.executor.items
 
-        def hook(dt_ns: int, cpu=cpu) -> None:
-            k = len(cpu.executor)
-            if k == 0:
-                return
-            share = dt_ns / k
-            frozen = node.frozen
-            for item in cpu.executor.items:
-                item.meta.acct.add_window(share, frozen)
+        def hook(dt_ns: int) -> None:
+            # TaskAccount.add_window, inlined: the executor calls this on
+            # every non-empty sync window.
+            share = dt_ns / len(items)
+            if node._frozen:
+                for item in items:
+                    acct = item.meta.acct
+                    acct.kernel_ns += share
+                    acct.stolen_ns += share
+            else:
+                for item in items:
+                    acct = item.meta.acct
+                    acct.kernel_ns += share
+                    acct.true_ns += share
 
         return hook
 

@@ -23,51 +23,35 @@ Invariants (property-tested in ``tests/simx/test_rate.py``):
 * *Exact completion*: an item completes exactly when its integrated rate
   reaches its demand (to within one nanosecond of timer quantization).
 
-Structure-of-arrays core and the two engines (DESIGN.md §3)
------------------------------------------------------------
+Structure-of-arrays core (DESIGN.md §3)
+---------------------------------------
 Items are stored as parallel arrays — an insertion-ordered item list
-plus a rate column — so ``sync``/``set_rates``/``_reschedule`` are
-single indexed passes over contiguous storage instead of dict
-iterations.  Two interchangeable engines share this layout:
+plus a rate column — so ``sync``/``install``/``_reschedule`` are single
+indexed passes over contiguous storage instead of dict iterations.
+:class:`RateExecutor` is the one engine: a plain scalar loop with no
+third-party dependencies.  The paper's workloads keep one to a few
+items per executor (one or four MPI ranks per node, a handful of
+stacked threads), a size at which no array kernel beats the loop.
 
-* :class:`RateExecutor` — the pure-Python scalar engine
-  (``REPRO_ENGINE=py``).  No third-party dependencies.
-* :class:`VecRateExecutor` — the vector engine (``REPRO_ENGINE=vec``,
-  the default when numpy is importable).  Below
-  :data:`VecRateExecutor.VEC_MIN` resident items it runs the *same*
-  scalar kernels — the size check is a class-level threshold the scalar
-  engine parks at an unreachable sentinel, so neither engine pays any
-  dispatch overhead on the small executors real workloads live on.  At
-  or above the threshold, ``sync`` and ``_reschedule`` become numpy
-  passes over a lazily-materialized float64 mirror of the
-  remaining-work column (see :class:`VecRateExecutor`).
+One rate pass per change (DESIGN.md §3 "Performance")
+-----------------------------------------------------
+A placement, completion or freeze/unfreeze costs one pass: the node
+syncs every busy executor, admits a new item without rescheduling
+(:meth:`RateExecutor.admit`), and then installs each busy executor's
+rates in CPU-index order (:meth:`RateExecutor.install`), each install
+running the one rescheduling pass for its executor.  Two rules keep
+event order **identical** to a pass that rescheduled after every
+mutation:
 
-Both engines are **byte-identical** in observable behaviour: the vector
-kernels perform the exact same IEEE-754 operations per element
-(``rate*dt``, the completion test against ``_EPS_WORK``, the ETA
-``remaining/rate + 0.999999``), accumulate ``total_work_served`` by the
-same left-to-right fold (never ``np.sum``, whose pairwise reduction
-associates differently), and complete simultaneous finishers in
-insertion order.  The golden-cell suite pins this contract.
-
-Use :func:`make_rate_executor` to construct whichever engine
-``$REPRO_ENGINE`` selects (resolved per call, so tests can flip it).
-
-Rate-update coalescing (DESIGN.md §3 "Performance")
----------------------------------------------------
-A freeze/unfreeze or placement change used to trigger one full
-ETA-rescheduling pass per mutation: a 24-segment rebalance did ~48
-cancel+push cycles whose timers were all dead on arrival.  Two
-mechanisms remove that churn while keeping event order **identical**:
-
-* *Deferred rescheduling* — inside :meth:`defer_reschedule` (used by
-  :meth:`repro.machine.node.Node.rate_batch`), membership and rate
+* *Deferred rescheduling* — paths that mutate membership several times
+  in one instant (rebalance, evacuation, misplacement, node failure)
+  run inside :meth:`repro.machine.node.Node.rate_batch`, where
   mutations mark the executor dirty instead of rescheduling; one
   rescheduling pass runs at batch exit.  Work integration (``sync``)
   still happens eagerly, so completions and their follow-up events fire
-  at exactly the same points in the instant as before; only the
-  intermediate timers — all of which the legacy code cancelled before
-  they could fire — are never created.
+  at exactly the same points in the instant; only the intermediate
+  timers — each of which a later mutation would have cancelled before
+  it could fire — are never created.
 * *ETA keep* — rescheduling keeps the live timer when the new fire time
   equals the old one **and** nothing else was scheduled since the timer
   was pushed (``timer seq == engine seq``).  Re-pushing would then yield
@@ -84,22 +68,14 @@ can no longer fire for an item that is already dead.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.simx.engine import Engine, Event
 from repro.simx.errors import SimulationError
 
-try:  # numpy is an optional dependency: the scalar engine never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover — exercised on numpy-free installs
-    _np = None
-
 __all__ = [
     "WorkItem",
     "RateExecutor",
-    "VecRateExecutor",
-    "make_rate_executor",
     "current_engine",
 ]
 
@@ -114,30 +90,9 @@ _ETA_CAP = float(1 << 62)
 
 
 def current_engine() -> str:
-    """Resolve ``$REPRO_ENGINE`` to the engine in effect: ``"py"`` or
-    ``"vec"``.  Unset/``auto`` picks ``vec`` when numpy is importable."""
-    kind = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    if kind == "auto":
-        return "vec" if _np is not None else "py"
-    if kind == "vec":
-        if _np is None:
-            raise SimulationError("REPRO_ENGINE=vec requires numpy")
-        return "vec"
-    if kind == "py":
-        return "py"
-    raise SimulationError(f"unknown REPRO_ENGINE {kind!r} (want py|vec|auto)")
-
-
-def make_rate_executor(
-    engine: Engine,
-    on_complete: Callable[["WorkItem"], None],
-    on_busy_change: Optional[Callable[[bool], None]] = None,
-) -> "RateExecutor":
-    """Construct the executor class ``$REPRO_ENGINE`` selects.  The
-    environment is read per call, so a test can flip engines without
-    re-importing anything."""
-    cls = VecRateExecutor if current_engine() == "vec" else RateExecutor
-    return cls(engine, on_complete, on_busy_change)
+    """Name of the rate engine in effect: always ``"py"``, the scalar
+    :class:`RateExecutor` (kept for result headers that record it)."""
+    return "py"
 
 
 class WorkItem:
@@ -168,12 +123,10 @@ class WorkItem:
 
 
 class RateExecutor:
-    """Serves :class:`WorkItem`\\ s at externally-assigned rates (the
-    pure-Python scalar engine; see the module docstring for the engine
-    contract).
+    """Serves :class:`WorkItem`\\ s at externally-assigned rates.
 
-    The owner (a :class:`repro.machine.cpu.LogicalCpu`) is responsible for
-    calling :meth:`set_rates` with a full rate assignment whenever anything
+    The owner (a :class:`repro.machine.node.Node`) is responsible for
+    calling :meth:`install` with a full rate assignment whenever anything
     that affects rates changes.  The executor:
 
     1. advances every item's ``remaining`` for the elapsed interval at the
@@ -190,12 +143,6 @@ class RateExecutor:
     before the associated reschedule.
     """
 
-    # Resident-set size at which sync/ETA switch to the numpy kernels.
-    # The scalar engine parks this at an unreachable sentinel so the
-    # size check below compiles down to one always-false comparison;
-    # VecRateExecutor lowers it to VEC_MIN.
-    _vec_min: int = 1 << 62
-
     __slots__ = (
         "engine",
         "on_complete",
@@ -203,8 +150,6 @@ class RateExecutor:
         "_items",
         "_index",
         "_rate",
-        "_rem_np",
-        "_rem_clean_n",
         "_last_sync",
         "_timer",
         "_timer_time",
@@ -226,13 +171,10 @@ class RateExecutor:
         # Structure-of-arrays storage: _items[i] runs at _rate[i] units/ns.
         # _index maps item -> slot; slots shift down on removal so the
         # array order always equals insertion order (the completion
-        # tie-break contract).  Remaining work lives on the items; the
-        # vector engine mirrors it into a numpy column on demand.
+        # tie-break contract).  Remaining work lives on the items.
         self._items: List[WorkItem] = []
         self._index: Dict[WorkItem, int] = {}
         self._rate: List[float] = []
-        self._rem_np = None     # float64 mirror of [it.remaining for it in items]
-        self._rem_clean_n = -1  # mirror length when valid; -1 = stale
         self._last_sync = engine.now
         self._timer: Optional[list] = None  # raw engine heap entry
         self._timer_time = 0  # absolute fire time of the live timer
@@ -257,21 +199,28 @@ class RateExecutor:
         return len(self._items)
 
     def add(self, item: WorkItem, rate: float = 0.0) -> None:
-        """Admit an item (initially at ``rate``).  Caller normally follows
-        with :meth:`set_rates` to rebalance everyone."""
+        """Admit an item (initially at ``rate``) and reschedule.  Caller
+        normally follows with :meth:`set_rates` to rebalance everyone."""
+        self.admit(item)
+        if rate:
+            self._rate[-1] = float(rate)
+        self._reschedule()
+
+    def admit(self, item: WorkItem) -> None:
+        """Admit an item at rate 0 *without* rescheduling: the caller's
+        :meth:`install` of the full rate assignment runs the one
+        rescheduling pass (a rate-0 item changes no ETA meanwhile)."""
         if item in self._index:
             raise SimulationError("work item already admitted")
         self.sync()
         if item.started_at is None:
-            item.started_at = self.engine.now
+            item.started_at = self.engine._now
         items = self._items
         self._index[item] = len(items)
         items.append(item)
-        self._rate.append(float(rate))
-        self._rem_clean_n = -1
+        self._rate.append(0.0)
         if len(items) == 1 and self.on_busy_change is not None:
             self.on_busy_change(True)
-        self._reschedule()
 
     def remove(self, item: WorkItem) -> None:
         """Evict an item (e.g. the task migrated to another CPU)."""
@@ -289,7 +238,6 @@ class RateExecutor:
         items = self._items
         del items[i]
         del self._rate[i]
-        self._rem_clean_n = -1
         index = self._index
         for j in range(i, len(items)):
             index[items[j]] = j
@@ -312,18 +260,10 @@ class RateExecutor:
             return
         self._last_sync = now
         items = self._items
-        n = len(items)
-        if n == 0:
+        if not items:
             return
         if self.pre_sync is not None:
             self.pre_sync(dt)
-        if n >= self._vec_min:
-            self._sync_vec(n, dt)
-            return
-        # The scalar kernel.  It leaves the vector engine's remaining
-        # mirror untouched: validity is keyed on n, and any transition
-        # back into the vector regime requires a membership change,
-        # which invalidates the mirror anyway.
         finished = None
         total = self.total_work_served
         rate_s = self._rate
@@ -370,22 +310,14 @@ class RateExecutor:
             rate_s[i] = float(rate)
         self._reschedule()
 
-    def set_rates_seq(self, rates: Sequence[float]) -> None:
-        """Assign new rates positionally: ``rates[i]`` goes to the i-th
-        resident item (insertion order — the order :attr:`items` yields
-        and :meth:`repro.machine.cpu.LogicalCpu.compute_rates` returns).
-        The fast path for full reassignment: no per-item hashing."""
-        self.sync()
-        if len(rates) != len(self._items):
-            raise SimulationError(
-                f"set_rates_seq length {len(rates)} != {len(self._items)} items")
-        rate_s = self._rate
-        i = 0
-        for rate in rates:
-            if rate < 0:
-                raise ValueError("negative rate")
-            rate_s[i] = float(rate)
-            i += 1
+    def install(self, rates: List[float]) -> None:
+        """Store a full positional rate assignment — ``rates[i]`` goes to
+        the i-th resident item, in insertion order — and reschedule.
+
+        Callers sync first and pass a fresh list of one non-negative
+        float per item; nothing is re-checked or copied here — the
+        executor takes ownership of ``rates``."""
+        self._rate = rates
         self._reschedule()
 
     def rate_of(self, item: WorkItem) -> float:
@@ -421,14 +353,10 @@ class RateExecutor:
     def _soonest_eta(self) -> Optional[int]:
         """Nanoseconds until the earliest completion at current rates
         (``None``: nothing can complete until rates change)."""
-        items = self._items
-        n = len(items)
-        if n >= self._vec_min:
-            return self._soonest_eta_vec(n)
         soonest: Optional[int] = None
         rate_s = self._rate
         i = 0
-        for item in items:
+        for item in self._items:
             rate = rate_s[i]
             i += 1
             if rate <= 0.0:
@@ -519,7 +447,6 @@ class RateExecutor:
         for it, rem in zip(self._items, state["remaining"]):
             it.remaining = rem
         self._rate[:] = state["rates"]
-        self._rem_clean_n = -1  # the numpy mirror is stale either way
         self._last_sync = state["last_sync"]
         self.total_work_served = state["total_work_served"]
         self._timer_time = state["timer_time"]
@@ -552,101 +479,3 @@ class RateExecutor:
                 f"cannot re-arm completion timer in the past "
                 f"({self._timer_time} < now={self.engine._now})")
         self._timer = self.engine._post(delay, self._on_timer, (), False)
-
-    # -- vector kernels (reached only when n >= _vec_min, i.e. never on
-    # -- the scalar engine; numpy is guaranteed importable then) -----------
-    def _rem_mirror(self, n: int):
-        rem = self._rem_np
-        if self._rem_clean_n != n:
-            rem = self._rem_np = _np.array(
-                [item.remaining for item in self._items])
-            self._rem_clean_n = n
-        return rem
-
-    def _sync_vec(self, n: int, dt: int) -> None:
-        np = _np
-        rate = np.array(self._rate)
-        rem = self._rem_mirror(n)
-        active = rate > 0.0
-        served = rate * dt
-        served[~active] = 0.0
-        fin_mask = active & (served >= rem - _EPS_WORK)
-        np.copyto(served, rem, where=fin_mask)
-        rem -= served  # in place: the mirror stays valid across syncs
-        # total_work_served is a left-to-right fold in item order — the
-        # scalar contract.  np.sum's pairwise reduction associates
-        # differently and would break byte-identity; adding the 0.0 of
-        # inactive items is an exact identity, so folding the full
-        # column matches the scalar skip-if-idle loop bit for bit.
-        total = self.total_work_served
-        for served_i in served.tolist():
-            total += served_i
-        self.total_work_served = total
-        items = self._items
-        rem_list = rem.tolist()
-        i = 0
-        for item in items:
-            item.remaining = rem_list[i]
-            i += 1
-        if fin_mask.any():
-            # _complete evictions below invalidate the mirror (slots
-            # shift) via _evict_slot — ordering is already correct.
-            finished = [items[i] for i in np.nonzero(fin_mask)[0].tolist()]
-            self._finish_batch(finished)
-
-    def _soonest_eta_vec(self, n: int) -> Optional[int]:
-        np = _np
-        rate = np.array(self._rate)
-        active = rate > 0.0
-        if not active.any():
-            return None
-        rem = self._rem_mirror(n)
-        if bool((active & (rem <= _EPS_WORK)).any()):
-            return 0  # a degenerate zero-demand item completes now
-        # Same per-element arithmetic as the scalar loop; inactive slots
-        # are parked at the cap so they never win the min.
-        eta_f = np.full(n, _ETA_CAP)
-        np.divide(rem, rate, out=eta_f, where=active)
-        eta_f += 0.999999
-        best = float(eta_f.min())
-        if best >= _ETA_CAP:
-            return None
-        eta = int(best)  # floor(min) == min(floor): floor is monotone
-        return eta if eta >= 1 else 1
-
-
-class VecRateExecutor(RateExecutor):
-    """The vector engine: same observable behaviour as the scalar
-    :class:`RateExecutor`, numpy passes for ``sync``/``_reschedule`` once
-    ``len() >= VEC_MIN``.
-
-    Below the threshold it *is* the scalar engine — the kernels live in
-    the base class behind a single size comparison, so the hot
-    real-world executors (one rank per CPU, a handful of stacked
-    threads) pay zero dispatch overhead.  At or above the threshold,
-    sync and ETA passes run as numpy array operations over a
-    lazily-materialized float64 mirror of the remaining-work column:
-    the mirror is rebuilt (one bulk gather) only after membership
-    mutations invalidate it, and vector syncs update it in place, so
-    steady large-n operation pays one ``np.array(rate_list)`` per pass
-    and no gathers.  ``item.remaining`` is written back on every vector
-    sync, so external observers see exactly what the scalar engine
-    shows at the same instants.
-    """
-
-    #: Resident-set size at which the numpy kernels take over; below it,
-    #: numpy call overhead loses to the scalar loop.
-    VEC_MIN = 32
-    _vec_min = VEC_MIN
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        engine: Engine,
-        on_complete: Callable[[WorkItem], None],
-        on_busy_change: Optional[Callable[[bool], None]] = None,
-    ):
-        if _np is None:  # pragma: no cover — guarded by make_rate_executor
-            raise SimulationError("VecRateExecutor requires numpy")
-        super().__init__(engine, on_complete, on_busy_change)
